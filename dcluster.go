@@ -66,7 +66,9 @@
 package dcluster
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"dcluster/internal/analysis"
@@ -138,9 +140,8 @@ const (
 // vs 13.2 ms at 8192), so the crossover dropped from 5120 to ~3k.
 // End-to-end clustering agrees: dense 9.1 s vs sparse 12.3 s at n = 2048,
 // sparse 34.7 s vs dense 36.4 s at n = 4096, identical outputs. In the
-// small-|txs| regimes the protocols mostly generate, both engines enumerate
-// candidate listeners from the transmitters' grid cells and stay within
-// ~20% of each other at every measured n.
+// small-|txs| regimes the protocols mostly generate, both engines examine
+// only listeners within range of some transmitter.
 const SparseAutoThreshold = 3072
 
 // Network is a static wireless network instance: node positions, the SINR
@@ -200,10 +201,19 @@ func (n *Network) validateIDs() error {
 // EngineSparse).
 func WithEngine(kind EngineKind) Option { return func(n *Network) { n.engine = kind } }
 
+// ErrBadNetwork is returned by NewNetwork when the node positions cannot
+// define a network: an empty point set, or a coordinate that is NaN or ±Inf.
+var ErrBadNetwork = errors.New("dcluster: invalid network")
+
 // NewNetwork builds a network over the given node positions.
 func NewNetwork(pts []Point, opts ...Option) (*Network, error) {
 	if len(pts) == 0 {
-		return nil, fmt.Errorf("dcluster: empty point set")
+		return nil, fmt.Errorf("%w: empty point set", ErrBadNetwork)
+	}
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("%w: point %d has a non-finite coordinate (%v, %v)", ErrBadNetwork, i, p.X, p.Y)
+		}
 	}
 	n := &Network{
 		pts:    append([]Point(nil), pts...),

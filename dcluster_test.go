@@ -1,12 +1,14 @@
 package dcluster
 
 import (
+	"errors"
+	"math"
 	"testing"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(nil); err == nil {
-		t.Error("empty point set must error")
+	if _, err := NewNetwork(nil); !errors.Is(err, ErrBadNetwork) {
+		t.Errorf("empty point set: err = %v, want ErrBadNetwork", err)
 	}
 	bad := DefaultParams()
 	bad.Alpha = 1
@@ -16,6 +18,30 @@ func TestNewNetworkValidation(t *testing.T) {
 	var zero Config
 	if _, err := NewNetwork([]Point{Pt(0, 0)}, WithConfig(zero)); err == nil {
 		t.Error("invalid config must error")
+	}
+}
+
+// TestNewNetworkRejectsNonFinite replays the non-finite coordinate probes:
+// a 20-node disk with one point replaced by NaN or ±Inf in either
+// coordinate. Before validation, +Inf panicked inside engine construction
+// and NaN was accepted and "clustered"; both engines must now refuse the
+// point set with ErrBadNetwork.
+func TestNewNetworkRejectsNonFinite(t *testing.T) {
+	for _, engine := range []EngineKind{EngineDense, EngineSparse} {
+		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			for _, coord := range []string{"x", "y"} {
+				pts := UniformDisk(20, 2, 1)
+				if coord == "x" {
+					pts[7].X = bad
+				} else {
+					pts[7].Y = bad
+				}
+				net, err := NewNetwork(pts, WithEngine(engine))
+				if !errors.Is(err, ErrBadNetwork) || net != nil {
+					t.Errorf("%s engine, %s = %v: NewNetwork = (%v, %v), want ErrBadNetwork", engine, coord, bad, net, err)
+				}
+			}
+		}
 	}
 }
 

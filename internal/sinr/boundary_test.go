@@ -1,6 +1,8 @@
 package sinr
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -85,27 +87,61 @@ func TestBoundaryFarRadiusEquality(t *testing.T) {
 }
 
 // TestBoundaryRangeEqualitySolo pins the reception decision when the only
-// link sits exactly at SINR == β: a solo sender at distance exactly 1 has
-// gain 2 = β·Noise, so reception holds with equality and any conservative
-// rounding in either direction flips the answer.
+// link sits exactly at SINR == β: a solo sender at distance exactly the
+// range has gain exactly β·N, so reception holds with equality and any
+// conservative rounding in either direction flips the answer. It runs over
+// α ∈ {2.5, 3, 4} and β ∈ {2, 10³}, with the normalised parameters and with
+// N ≠ 1, P ≠ β·N (range 4, where 4^α is a power of two, so every gain is
+// exact). The receiver at range must be on the dense engine's audible list,
+// a node 2⁻²⁰ beyond it must not, and each dense dispatch branch, the
+// distance-matrix field and the sparse engine must all decode it.
 func TestBoundaryRangeEqualitySolo(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(5, 5)}
-	params := DefaultParams()
-	dense, err := NewField(params, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := NewSparseField(params, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := dense.Deliver([]int{0}, nil, nil)
-	got := sparse.Deliver([]int{0}, nil, nil)
-	if !sameReceptions(want, got) {
-		t.Fatalf("solo range-boundary: dense %v != sparse %v", want, got)
-	}
-	if len(want) != 1 || want[0] != (Reception{Receiver: 1, Sender: 0}) {
-		t.Fatalf("SINR == β must decode (≥ comparison): got %v", want)
+	for _, alpha := range []float64{2.5, 3, 4} {
+		for _, beta := range []float64{2, 1e3} {
+			for _, norm := range []bool{true, false} {
+				params := Params{Alpha: alpha, Beta: beta, Noise: 1, Power: beta, Eps: 0.25}
+				rng := 1.0
+				if !norm {
+					rng = 4
+					params.Noise = 0.25
+					params.Power = beta * params.Noise * math.Pow(rng, alpha)
+				}
+				name := fmt.Sprintf("alpha=%v/beta=%v/N=%v/P=%v", alpha, beta, params.Noise, params.Power)
+				t.Run(name, func(t *testing.T) {
+					pts := []geom.Point{geom.Pt(0, 0), geom.Pt(rng, 0), geom.Pt(-rng*(1+0x1p-20), 0), geom.Pt(5*rng, 5*rng)}
+					dense, err := NewField(params, pts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g := dense.Gain(0, 1); g != beta*params.Noise {
+						t.Fatalf("test geometry: gain at range %v != β·N %v", g, beta*params.Noise)
+					}
+					if s := dense.SINR(0, 1, []int{0}); s != beta {
+						t.Fatalf("SINR at range = %v, want exactly β", s)
+					}
+					a0 := dense.aud[dense.audStart[0]:dense.audStart[1]]
+					if len(a0) != 1 || a0[0] != 1 {
+						t.Fatalf("audible list of the sender = %v, want [1] (at range in, just beyond out)", a0)
+					}
+					sparse, err := NewSparseField(params, pts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := []Reception{{Receiver: 1, Sender: 0}}
+					for label, got := range map[string][]Reception{
+						"dense nil listeners":    dense.Deliver([]int{0}, nil, nil),
+						"dense direct":           dense.Deliver([]int{0}, []int{1}, nil),
+						"dense stamped listener": dense.Deliver([]int{0}, []int{2, 1, 3}, nil),
+						"distance matrix":        distanceTwin(t, params, pts).Deliver([]int{0}, nil, nil),
+						"sparse":                 sparse.Deliver([]int{0}, nil, nil),
+					} {
+						if !sameReceptions(want, got) {
+							t.Errorf("%s: SINR == β must decode (≥ comparison): got %v", label, got)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -91,7 +91,8 @@ func checkCancelAndRecover(t *testing.T, eng Engine, txs []int) {
 }
 
 func TestCancelDensePerListener(t *testing.T) {
-	// A single transmitter never takes the transposed path.
+	// A single transmitter never takes the transposed path: Deliver decides
+	// the stamped candidates.
 	f, err := NewField(DefaultParams(), geom.UniformDisk(600, 4, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +101,21 @@ func TestCancelDensePerListener(t *testing.T) {
 }
 
 func TestCancelDenseTransposed(t *testing.T) {
-	// ≥ 2 transmitters with all listeners checked runs the transposed
+	// Every 8th node transmitting on a disk of ~37 nodes per unit ball: the
+	// candidates cover over half the field, so Deliver runs the transposed
 	// accumulation core (one stop poll per transmitter row).
 	f, err := NewField(DefaultParams(), geom.UniformDisk(600, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCancelAndRecover(t, f, []int{3, 99, 250, 511})
+	var txs []int
+	for v := 0; v < f.N(); v += 8 {
+		txs = append(txs, v)
+	}
+	if b := denseBranch(f, txs, nil); b != 2 {
+		t.Fatalf("round dispatches to branch %d, want the transposed core", b)
+	}
+	checkCancelAndRecover(t, f, txs)
 }
 
 func TestCancelSparseSerial(t *testing.T) {

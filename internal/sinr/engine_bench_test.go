@@ -104,7 +104,29 @@ func BenchmarkDeliverTx(b *testing.B) {
 // the accumulating path's dispatch threshold (accumDivisor), and the higher
 // fractions are the shout-down rounds the accumulating cell-blocked path is
 // built for. This sweep measured the accumDivisor crossover.
+//
+// The dense row runs the clustering benchmarks' 1024-node disk (radius 16,
+// density Γ = 12, about 4 nodes within range of a node) with 1/16
+// transmitting: the transmitters' audible lists cover under half the field,
+// so the dense engine decides only the stamped candidates.
 func BenchmarkDeliverDense(b *testing.B) {
+	b.Run("dense/n=1024/gamma=12/frac=1of16", func(b *testing.B) {
+		f, err := NewField(DefaultParams(), geom.UniformDisk(1024, 16, 3))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var txs []int
+		for v := 0; v < f.N(); v += 16 {
+			txs = append(txs, v)
+		}
+		var dst []Reception
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = f.Deliver(txs, nil, dst[:0])
+		}
+		_ = dst
+	})
 	for _, n := range []int{4096, 16384} {
 		pts, _ := benchDeployment(n)
 		for _, div := range []int{32, 16, 4, 1} {

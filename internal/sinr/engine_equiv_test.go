@@ -232,52 +232,6 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 	return perm
 }
 
-// TestTxCentricMatchesFullScan pins the transmitter-centric pruning against
-// the unpruned scan within the dense engine itself: a distance-matrix field
-// (which has no positions, hence no listener index) built from the exact
-// pairwise distances of a positional field must deliver identically across
-// every transmitter regime. Any wrong pruning of a would-be receiver shows
-// up here directly, without the sparse engine in the loop.
-func TestTxCentricMatchesFullScan(t *testing.T) {
-	n := 300
-	pts := geom.UniformDisk(n, math.Sqrt(float64(n)/10), 23)
-	params := DefaultParams()
-	withIdx, err := NewField(params, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := make([][]float64, n)
-	for v := range dist {
-		dist[v] = make([]float64, n)
-		for u := range dist[v] {
-			if u != v {
-				dist[v][u] = geom.Dist(pts[v], pts[u])
-			}
-		}
-	}
-	fullScan, err := NewFieldFromDistances(params, dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fullScan.lidx != nil || withIdx.lidx == nil {
-		t.Fatal("test preconditions: positional field must have a listener index, distance field must not")
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		k := []int{1, 2, 5, 12, 40, n / 2}[trial%6]
-		txs := pickDistinct(rng, n, k)
-		var listeners []int
-		if trial%4 == 2 {
-			listeners = pickDistinct(rng, n, n/3)
-		}
-		want := fullScan.Deliver(txs, listeners, nil)
-		got := withIdx.Deliver(txs, listeners, nil)
-		if !sameReceptions(want, got) {
-			t.Fatalf("trial %d (|T|=%d): full scan %v != tx-centric %v", trial, k, want, got)
-		}
-	}
-}
-
 func sameReceptions(a, b []Reception) bool {
 	if len(a) != len(b) {
 		return false

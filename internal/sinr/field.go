@@ -3,6 +3,7 @@ package sinr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dcluster/internal/geom"
 )
@@ -14,12 +15,14 @@ func pow(x, a float64) float64 { return math.Pow(x, a) }
 // A Field answers "who received whom" queries for arbitrary transmitter
 // sets; it performs no protocol logic.
 //
-// The gain matrix costs 8·n² bytes and Deliver scans every transmitter per
-// listener, so Field is the engine of choice up to a few thousand nodes:
-// O(1) gain lookups, no per-round indexing overhead, and exact results by
-// construction. Beyond that, use SparseField — the grid-bucketed engine with
-// linear memory and parallel Deliver — which produces identical reception
-// sets. Field is also the only engine accepting an explicit distance matrix
+// The gain matrix costs 8·n² bytes, so Field is the engine of choice up to a
+// few thousand nodes: O(1) gain lookups and exact results by construction.
+// Next to the matrix, Field keeps each node's audible list — the nodes that
+// hear it above the noise floor (see audibleThreshold) — so Deliver examines
+// only listeners within range of some transmitter. Beyond a few thousand
+// nodes, use SparseField — the grid-bucketed engine with linear memory and
+// parallel Deliver — which produces identical reception sets. Field is also
+// the only engine accepting an explicit distance matrix
 // (NewFieldFromDistances), which the lower-bound gadgets require to avoid
 // floating-point absorption of the geometrically shrinking node gaps.
 type Field struct {
@@ -28,10 +31,17 @@ type Field struct {
 	gain   [][]float64  // gain[v][u]: received power at u from transmitter v
 	pos    []geom.Point // nil for distance-matrix fields
 
-	lidx *listenerIndex // transmitter-centric listener index; nil without positions
+	// Audible lists in CSR form: aud[audStart[v]:audStart[v+1]] holds, in
+	// ascending order, every u ≠ v with gain[v][u] ≥ audibleThreshold.
+	// Immutable after construction and shared by sessions.
+	audStart []int
+	aud      []int32
 
-	scratch []bool // reusable transmitter bitmap for Deliver
-	cand    *candScratch
+	// Per-session Deliver scratch, allocated by newScratch.
+	scratch []bool   // transmitter bitmap
+	stamp   []uint32 // candidate stamps: stamp[u] == epoch marks u this round
+	epoch   uint32
+	cand    []int32 // this round's candidates, capacity n
 
 	// stop is the cooperative mid-round cancellation hook (see StopChecker);
 	// nil when no run-scoped control is attached.
@@ -42,6 +52,30 @@ type Field struct {
 	accBestV        []int32
 }
 
+// audibleThreshold is audThr, the gain a sender needs at u for u to be on
+// the sender's audible list. Every listener that can receive in any round
+// is on its winning sender's list, so Deliver never examines anyone else.
+//
+// Exactness. Both reception checks (decide and deliverTransposed) accept u
+// when b > 0 and b ≥ β·(N + tot − b) holds as evaluated in float64, where b
+// is the winning gain and tot the running sum of u's incoming gains in
+// transmitter order. Gains are non-negative (NaN makes every comparison
+// false, so a NaN anywhere never passes), and every IEEE operation rounds
+// monotonically, so:
+//   - each partial sum is ≥ the one before, and the partial sum that adds b
+//     is fl(s + b) ≥ fl(0 + b) = b; hence tot ≥ b;
+//   - hence fl(tot − b) ≥ 0, fl(N + fl(tot − b)) ≥ N, and
+//     fl(β·fl(N + fl(tot − b))) ≥ fl(β·N).
+//
+// So a passing u has b ≥ fl(β·N) in float64. audThr is fl(β·N) scaled down
+// by 2⁻³⁰ relative: the argument needs no margin, but the margin keeps the
+// pruning sound under any reassociation or fused evaluation of the check,
+// whose error is a few ulps (2⁻⁵² each), and it only adds listeners within
+// a billionth of the range floor, which decide then rejects.
+func audibleThreshold(p Params) float64 {
+	return p.Beta * p.Noise * (1 - 0x1p-30)
+}
+
 // NewField builds a field from explicit positions.
 func NewField(params Params, pos []geom.Point) (*Field, error) {
 	if err := params.Validate(); err != nil {
@@ -50,18 +84,27 @@ func NewField(params Params, pos []geom.Point) (*Field, error) {
 	n := len(pos)
 	f := &Field{params: params, n: n, pos: append([]geom.Point(nil), pos...)}
 	f.gain = make([][]float64, n)
+	f.audStart = make([]int, n+1)
+	thr := audibleThreshold(params)
 	buf := make([]float64, n*n)
-	for v := 0; v < n; v++ {
-		f.gain[v] = buf[v*n : (v+1)*n]
-		for u := 0; u < n; u++ {
+	var aud []int32
+	for v, pv := range pos {
+		row := buf[v*n : (v+1)*n]
+		f.gain[v] = row
+		for u, pu := range pos {
 			if u == v {
 				continue
 			}
-			d := geom.Dist(pos[v], pos[u])
-			f.gain[v][u] = gainAt(params, d)
+			g := gainAt(params, geom.Dist(pv, pu))
+			row[u] = g
+			if g >= thr {
+				aud = append(aud, int32(u))
+			}
 		}
+		f.audStart[v+1] = len(aud)
 	}
-	f.lidx = newListenerIndex(newCellGeom(params.Range(), f.pos), f.pos)
+	f.aud = aud
+	f.newScratch()
 	return f, nil
 }
 
@@ -75,6 +118,8 @@ func NewFieldFromDistances(params Params, dist [][]float64) (*Field, error) {
 	n := len(dist)
 	f := &Field{params: params, n: n}
 	f.gain = make([][]float64, n)
+	f.audStart = make([]int, n+1)
+	thr := audibleThreshold(params)
 	buf := make([]float64, n*n)
 	for v := 0; v < n; v++ {
 		if len(dist[v]) != n {
@@ -88,9 +133,15 @@ func NewFieldFromDistances(params Params, dist [][]float64) (*Field, error) {
 			if dist[v][u] <= 0 {
 				return nil, fmt.Errorf("sinr: non-positive distance %v between %d and %d", dist[v][u], v, u)
 			}
-			f.gain[v][u] = gainAt(params, dist[v][u])
+			g := gainAt(params, dist[v][u])
+			f.gain[v][u] = g
+			if g >= thr {
+				f.aud = append(f.aud, int32(u))
+			}
 		}
+		f.audStart[v+1] = len(f.aud)
 	}
+	f.newScratch()
 	return f, nil
 }
 
@@ -144,12 +195,10 @@ type Reception struct {
 // (half-duplex). Since β > 1, at most the strongest incoming signal can
 // clear the threshold, so exactly one check per listener is needed.
 //
-// When the transmitter set is small relative to the listener count, Deliver
-// is transmitter-centric: candidate listeners are enumerated from the grid
-// cells around the transmitters (or, given an explicit listener slice,
-// out-of-range listeners are skipped by one cell-stamp lookup each), so the
-// round cost scales with the activity, not with n. The per-listener decision
-// code is unchanged, so results are bit-identical to the full scan.
+// Only listeners on some transmitter's audible list can receive, so Deliver
+// examines just those (see deliverMarked); the round cost scales with the
+// transmitters' reach, not with n. The per-listener decision code is the
+// full scan's, so results are bit-identical to it.
 //
 // The result slice is appended to dst (which may be nil) and returned, so
 // hot loops can reuse capacity.
@@ -157,7 +206,7 @@ func (f *Field) Deliver(transmitters []int, listeners []int, dst []Reception) []
 	if len(transmitters) == 0 {
 		return dst
 	}
-	isTx := f.txScratch()
+	isTx := f.scratch
 	for _, v := range transmitters {
 		isTx[v] = true
 	}
@@ -178,63 +227,122 @@ func (f *Field) Deliver(transmitters []int, listeners []int, dst []Reception) []
 func (f *Field) SetStopCheck(fn func() error) { f.stop = fn }
 
 // deliverMarked is the Deliver core, entered with the transmitter bitmap set
-// up. It returns a non-nil error (with the partial dst discarded by the
-// caller's abort) when the stop hook trips between listener chunks.
+// up. It picks one of three ways to examine the listeners, from sizes of its
+// input alone; each runs the full scan's decision on every listener it
+// examines and skips only listeners that cannot receive, in the full scan's
+// order:
+//
+//  1. An explicit listener slice no longer than the transmitters' reach
+//     (the summed audible-list lengths): decide each listener directly, as
+//     stamping the candidates would cost more than it prunes.
+//  2. Otherwise the candidates — audible non-transmitters — are stamped. If
+//     they and the checked listeners each cover over half the field and
+//     |T| ≥ 2, run the transposed accumulation (dense rounds).
+//  3. Otherwise decide the candidates only: in node order for nil
+//     listeners, else in the caller's listener order.
+//
+// It returns a non-nil error (with the partial dst discarded by the caller's
+// abort) when the stop hook trips between listener chunks.
 func (f *Field) deliverMarked(transmitters []int, listeners []int, dst []Reception) ([]Reception, error) {
-	isTx := f.scratch
+	if listeners != nil {
+		reach := 0
+		for _, v := range transmitters {
+			reach += f.audStart[v+1] - f.audStart[v]
+		}
+		if reach >= len(listeners) {
+			for i, u := range listeners {
+				if err := f.poll(i); err != nil {
+					return dst, err
+				}
+				if f.scratch[u] { // transmitting
+					continue
+				}
+				if v, ok := f.decide(u, transmitters); ok {
+					dst = append(dst, Reception{Receiver: u, Sender: v})
+				}
+			}
+			return dst, nil
+		}
+	}
 	count := f.n
 	if listeners != nil {
 		count = len(listeners)
 	}
-	// Dense rounds — the checked listeners cover most of the field — run
-	// transposed: per transmitter one sequential sweep over its gain row
-	// accumulates every listener's interference total and strongest signal,
-	// then one emission sweep applies the threshold. Same summation order
-	// and comparisons as the per-listener scan (bit-identical results), but
-	// sequential memory instead of one gathered column read per (listener,
-	// transmitter) pair.
+	// Dense rounds run transposed: per transmitter one sequential sweep over
+	// its gain row accumulates every listener's interference total and
+	// strongest signal, then one emission sweep applies the threshold. Same
+	// summation order and comparisons as decide (bit-identical results), but
+	// sequential memory instead of one gathered read per (listener,
+	// transmitter) pair. The core needs no candidate list, so stamping stops
+	// once the candidates pass half the field.
+	limit := f.n // unreachable: candidates exclude the transmitters
 	if len(transmitters) >= 2 && 2*count > f.n {
+		limit = f.n / 2
+	}
+	cand := f.markCandidates(transmitters, limit)
+	if len(cand) > limit {
 		return f.deliverTransposed(transmitters, listeners, dst)
 	}
-	var cs *candScratch
-	if f.lidx != nil && txCandCells*len(transmitters) < count {
-		cs = f.candScratch()
-		total := f.lidx.mark(transmitters, cs)
-		if listeners == nil && total*enumDivisor <= count {
-			listeners = f.lidx.gather(cs)
-			cs = nil // enumerated candidates need no per-listener filter
-		}
-	}
 	if listeners == nil {
-		for u := 0; u < f.n; u++ {
-			if u&stopStride == 0 && f.stop != nil {
-				if err := f.stop(); err != nil {
-					return dst, err
-				}
+		slices.Sort(cand)
+		for i, u := range cand {
+			if err := f.poll(i); err != nil {
+				return dst, err
 			}
-			if isTx[u] || (cs != nil && f.lidx.skip(u, cs)) {
-				continue
-			}
-			if v, ok := f.decide(u, transmitters); ok {
-				dst = append(dst, Reception{Receiver: u, Sender: v})
+			if v, ok := f.decide(int(u), transmitters); ok {
+				dst = append(dst, Reception{Receiver: int(u), Sender: v})
 			}
 		}
-	} else {
-		for i, u := range listeners {
-			if i&stopStride == 0 && f.stop != nil {
-				if err := f.stop(); err != nil {
-					return dst, err
-				}
-			}
-			if isTx[u] || (cs != nil && f.lidx.skip(u, cs)) {
-				continue
-			}
-			if v, ok := f.decide(u, transmitters); ok {
-				dst = append(dst, Reception{Receiver: u, Sender: v})
-			}
+		return dst, nil
+	}
+	stamp, epoch := f.stamp, f.epoch
+	for i, u := range listeners {
+		if err := f.poll(i); err != nil {
+			return dst, err
+		}
+		if stamp[u] != epoch {
+			continue
+		}
+		if v, ok := f.decide(u, transmitters); ok {
+			dst = append(dst, Reception{Receiver: u, Sender: v})
 		}
 	}
 	return dst, nil
+}
+
+// poll runs the stop hook on every stopStride+1-th examined listener.
+func (f *Field) poll(i int) error {
+	if i&stopStride == 0 && f.stop != nil {
+		return f.stop()
+	}
+	return nil
+}
+
+// markCandidates stamps this round's candidates — every non-transmitter on
+// some transmitter's audible list — with a fresh epoch and returns them, in
+// discovery order, in the session's candidate buffer. It stops early, with
+// a partial list, once more than limit are found.
+func (f *Field) markCandidates(transmitters []int, limit int) []int32 {
+	f.epoch++
+	if f.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(f.stamp)
+		f.epoch = 1
+	}
+	stamp, epoch, isTx := f.stamp, f.epoch, f.scratch
+	cand := f.cand[:0]
+	for _, v := range transmitters {
+		for _, u := range f.aud[f.audStart[v]:f.audStart[v+1]] {
+			if stamp[u] != epoch && !isTx[u] {
+				stamp[u] = epoch
+				cand = append(cand, u)
+			}
+		}
+		if len(cand) > limit {
+			break
+		}
+	}
+	f.cand = cand
+	return cand
 }
 
 // deliverTransposed is the dense-round Deliver core: transmitters' gain
@@ -337,30 +445,22 @@ func (f *Field) decide(u int, transmitters []int) (int, bool) {
 	return -1, false
 }
 
-// txScratch returns a reusable all-false scratch bitmap of size n.
-func (f *Field) txScratch() []bool {
-	if f.scratch == nil {
-		f.scratch = make([]bool, f.n)
-	}
-	return f.scratch
-}
-
-// candScratch returns the session's transmitter-centric scratch.
-func (f *Field) candScratch() *candScratch {
-	if f.cand == nil {
-		f.cand = f.lidx.newCandScratch()
-	}
-	return f.cand
+// newScratch allocates the session's Deliver scratch. The transposed
+// accumulators stay lazy: only dense rounds need them.
+func (f *Field) newScratch() {
+	f.scratch = make([]bool, f.n)
+	f.stamp = make([]uint32, f.n)
+	f.epoch = 0
+	f.cand = make([]int32, 0, f.n)
 }
 
 // Session returns a view of the field with its own Deliver scratch. The gain
-// matrix, positions and listener index are shared (they are immutable after
+// matrix, positions and audible lists are shared (they are immutable after
 // construction), so sessions are cheap and may Deliver concurrently with
 // each other.
 func (f *Field) Session() Engine {
 	g := *f
-	g.scratch = nil
-	g.cand = nil
+	g.newScratch()
 	g.accTot, g.accBest, g.accBestV = nil, nil, nil
 	g.stop = nil
 	return &g

@@ -8,12 +8,13 @@ import (
 	"dcluster/internal/geom"
 )
 
-// Fuzz target for the reception invariant that makes the sparse engine's
-// optimizations safe to land: on arbitrary deployments and transmitter sets,
-// the dense engine (ground truth: full gain matrix, no pruning), the sparse
-// engine's per-listener grid path, its accumulating cell-blocked path, and
-// the maximally truncated exact-fallback configuration (far radius forced
-// down to the transmission range) must all deliver the identical reception
+// Fuzz target for the reception invariant that makes both engines'
+// optimizations safe to land: on arbitrary deployments, transmitter sets and
+// listener slices, the unpruned full scan over the dense gain matrix (ground
+// truth), the dense engine's audible-list dispatch, the sparse engine's
+// per-listener grid path, its accumulating cell-blocked path, and the
+// maximally truncated exact-fallback configuration (far radius forced down
+// to the transmission range) must all deliver the identical reception
 // sequence. The committed seed corpus doubles as a regression suite: the
 // seeds replay on every plain `go test` run, including CI's race tier.
 func FuzzDeliverPathEquivalence(f *testing.F) {
@@ -58,13 +59,21 @@ func FuzzDeliverPathEquivalence(f *testing.F) {
 			txs = []int{int(seed % uint64(n))}
 		}
 		var listeners []int
-		if lsel%4 == 1 {
+		switch lsel % 4 {
+		case 1:
 			step := 2 + int(lsel)/4%3
 			for v := 0; v < n; v += step {
 				listeners = append(listeners, v)
 			}
+		case 3:
+			// Unsorted, with duplicates and transmitters mixed in.
+			listeners = messyListeners(rng, n, float64(lsel/4+1)/64, txs)
 		}
-		want := dense.Deliver(txs, listeners, nil)
+		want := fullScanDeliver(dense, txs, listeners)
+		if got := dense.Deliver(txs, listeners, nil); !sameReceptions(want, got) {
+			t.Fatalf("dense branch %d (|T|=%d, n=%d): full scan %v != Deliver %v",
+				denseBranch(dense, txs, listeners), len(txs), n, want, got)
+		}
 		for _, ov := range []int8{0, -1, 1} {
 			sparse.pathOverride = ov
 			got := sparse.Deliver(txs, listeners, nil)

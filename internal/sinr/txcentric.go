@@ -6,10 +6,11 @@ import (
 	"dcluster/internal/geom"
 )
 
-// This file implements the transmitter-centric Deliver path shared by both
-// engines: instead of scanning every listener each round, the round's
+// This file implements the sparse engine's transmitter-centric Deliver
+// path: instead of scanning every listener each round, the round's
 // candidate listeners are derived from the spatial grid cells around the
-// active transmitters.
+// active transmitters. (The dense engine prunes from exact per-node audible
+// lists instead; see Field.)
 //
 // The pruning argument: a reception requires the receiver's strongest
 // incoming signal to clear the β·noise floor (SINR ≥ β with non-negative
@@ -33,7 +34,7 @@ const txCandCells = 9
 // candidate cells are only used as a per-listener O(1) skip filter.
 const enumDivisor = 4
 
-// cellGeom is the uniform-grid geometry shared by the engines' spatial
+// cellGeom is the uniform-grid geometry shared by the sparse engine's spatial
 // indexes: cell side at least the transmission range (the candidate-sender
 // query radius), grown if needed to cap the cell count near 8·n so sparse
 // deployments over huge areas stay linear in memory.
