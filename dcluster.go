@@ -278,6 +278,14 @@ func (n *Network) acquireEngine() sinr.Engine {
 // releaseEngine returns a session to the pool for reuse by later runs.
 func (n *Network) releaseEngine(e sinr.Engine) { n.sessions.Put(e) }
 
+// sessionLender lends a run's environment extra sessions from the network's
+// pool, for computing a pass's receptions on several cores
+// (sim.SessionPool).
+type sessionLender Network
+
+func (l *sessionLender) Get() sinr.Engine  { return (*Network)(l).acquireEngine() }
+func (l *sessionLender) Put(e sinr.Engine) { (*Network)(l).releaseEngine(e) }
+
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.pts) }
 

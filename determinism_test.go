@@ -187,10 +187,10 @@ func TestDeterminismDump(t *testing.T) {
 	fmt.Fprintf(os.Stdout, "%s\n%s%s\n", determinismBegin, dump, determinismEnd)
 }
 
-func runDeterminismChild(t *testing.T) string {
+func runDeterminismChild(t *testing.T, procs int) string {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestDeterminismDump$", "-test.count=1")
-	cmd.Env = append(os.Environ(), determinismChildEnv+"=1")
+	cmd.Env = append(os.Environ(), determinismChildEnv+"=1", fmt.Sprintf("GOMAXPROCS=%d", procs))
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("child process failed: %v\n%s", err, out)
@@ -206,7 +206,9 @@ func runDeterminismChild(t *testing.T) string {
 
 // TestCrossProcessDeterminism byte-compares the canonical Result dumps of
 // three executions of the full matrix under three distinct Go map hash
-// seeds: this process plus two re-exec'd child test processes.
+// seeds: this process plus two re-exec'd child test processes, which run
+// with GOMAXPROCS 1 and 4, so passes compute their receptions on one
+// session and on up to four.
 func TestCrossProcessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full task matrix three times in separate processes")
@@ -218,11 +220,11 @@ func TestCrossProcessDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		got := runDeterminismChild(t)
+	for _, procs := range []int{1, 4} {
+		got := runDeterminismChild(t, procs)
 		if got != want {
-			t.Errorf("child %d produced a different dump (map-order leak?):\n%s",
-				i, firstDiff(want, got))
+			t.Errorf("child with GOMAXPROCS=%d produced a different dump (map-order leak or core-count dependence?):\n%s",
+				procs, firstDiff(want, got))
 		}
 	}
 }

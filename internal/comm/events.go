@@ -30,6 +30,11 @@ type EventLists struct {
 	entries int                // total cached entries, capped by eventCacheBudget
 
 	missing []int32 // cache-miss sender positions (scratch)
+
+	// Per-round prepare scratch, shared by the schedulers over this cache
+	// (prepare never runs concurrently within one execution).
+	counts []int32 // per-round transmitter counts, all zero between prepares
+	offs   []int32 // per-round bucket ends after placement
 }
 
 // NewEventLists prepares a shared schedule-list cache for one selector.
@@ -63,12 +68,15 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 //     for the same senders correctly re-prepare.
 //
 //  3. Reception replay. Reception is a pure function of the transmitter and
-//     listener sets, so the reception sequence captured on a live pass is
-//     replayed — via Env.StepReplay, skipping the physical layer — whenever
-//     the same prepared pass runs again against the same listener set.
-//     Within live passes, small-transmitter-set rounds (the dominant round
-//     shape under selective schedules) hit a content-keyed reception memo
-//     that survives across passes with the same listeners.
+//     listener sets, and a selector pass is fixed before it starts, so a
+//     pass's receptions are computed before its first round is played —
+//     by Env.PassReceptions: small-transmitter-set rounds (the dominant
+//     round shape under selective schedules) hit a content-keyed reception
+//     memo that survives across passes with the same listeners, and the
+//     misses run on several engine sessions at once when there are enough
+//     of them. The rounds are then played back in order via Env.StepReplay,
+//     and the captured sequence is replayed outright whenever the same
+//     prepared pass runs again against the same listener set.
 //
 // Within a round, transmitters appear in caller order — which downstream
 // float summation and tie-breaking depend on — exactly as in the naive
@@ -79,12 +87,9 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 type EventScheduler struct {
 	el *EventLists
 
-	counts []int32   // per-round transmitter counts (prepare scratch)
-	offs   []int32   // per-round bucket ends after placement (prepare scratch)
-	events []int32   // flattened per-round sender positions (prepared pass)
+	txs    []int32   // flattened per-round transmitters (prepared pass)
 	active []int32   // rounds with a non-empty bucket, ascending (prepared pass)
-	ends   []int32   // ends[k]: end of active[k]'s bucket in events (prepared pass)
-	txs    []int     // per-round transmitter buffer handed to Step
+	ends   []int32   // ends[k]: end of active[k]'s bucket in txs (prepared pass)
 	sched  [][]int32 // per-sender schedule views (prepare scratch)
 
 	// Prepared-pass identity (layer 2): buckets are reused only when the
@@ -153,62 +158,46 @@ func (es *EventScheduler) Pass(
 		es.recValid = false
 		es.lid = env.InternListeners(listeners)
 	}
-	// Reception replay and capture are sound only while reception is a pure
-	// function of (transmitters, listeners); fault injection breaks that, so
-	// impure executions always run live and never mark a capture valid.
-	pure := env.ReceptionPure()
-	if es.recValid && pure {
-		es.replay(env, start, senders, msgOf, sink)
+	// Computing a pass's receptions ahead of its rounds, and replaying them,
+	// is sound only while reception is a pure function of (transmitters,
+	// listeners); fault injection breaks that, so impure executions step
+	// every round live.
+	if !env.ReceptionPure() {
+		txs := env.TxBuf()
+		lo := int32(0)
+		for k, i := range es.active {
+			hi := es.ends[k]
+			txs = appendInts(txs[:0], es.txs[lo:hi])
+			env.NextActive(start + int64(i) + 1)
+			sink(int(i), env.Step(txs, msgOf, listeners))
+			lo = hi
+		}
+		env.SetTxBuf(txs)
+		env.NextActive(start + int64(m) + 1)
 		return
 	}
-	es.recs = es.recs[:0]
-	es.recEnds = es.recEnds[:0]
-	lo := int32(0)
-	for k, i32 := range es.active {
-		i := int(i32)
-		hi := es.ends[k]
-		es.txs = es.txs[:0]
-		for _, j := range es.events[lo:hi] {
-			es.txs = append(es.txs, senders[j])
-		}
-		env.NextActive(start + int64(i) + 1)
-		ds := env.StepMemo(es.txs, msgOf, listeners, es.lid)
-		if pure {
-			for _, d := range ds {
-				es.recs = append(es.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-			}
-			es.recEnds = append(es.recEnds, int32(len(es.recs)))
-		}
-		sink(i, ds)
-		lo = hi
+	txs := appendInts(env.TxBuf(), es.txs)
+	env.SetTxBuf(txs)
+	if !es.recValid {
+		es.recs, es.recEnds = env.PassReceptions(txs, es.ends, listeners, es.lid, es.recs[:0], es.recEnds[:0])
+		es.recValid = true
 	}
-	// The capture is complete only if the loop was not aborted (budget or
-	// cancellation panics unwind past this line).
-	es.recValid = pure
+	lo, rlo := int32(0), int32(0)
+	for k, i := range es.active {
+		hi, rhi := es.ends[k], es.recEnds[k]
+		env.NextActive(start + int64(i) + 1)
+		sink(int(i), env.StepReplay(txs[lo:hi], es.recs[rlo:rhi], msgOf))
+		lo, rlo = hi, rhi
+	}
 	env.NextActive(start + int64(m) + 1)
 }
 
-// replay re-executes the prepared pass from the captured receptions: same
-// rounds, same transmitter sets, same deliveries — without consulting the
-// engine.
-func (es *EventScheduler) replay(env *sim.Env, start int64, senders []int, msgOf func(node int) sim.Msg, sink func(round int, ds []sim.Delivery)) {
-	lo := int32(0)
-	rlo := int32(0)
-	for k, i32 := range es.active {
-		i := int(i32)
-		hi := es.ends[k]
-		es.txs = es.txs[:0]
-		for _, j := range es.events[lo:hi] {
-			es.txs = append(es.txs, senders[j])
-		}
-		rhi := es.recEnds[k]
-		env.NextActive(start + int64(i) + 1)
-		ds := env.StepReplay(es.txs, es.recs[rlo:rhi], msgOf)
-		sink(i, ds)
-		rlo = rhi
-		lo = hi
+// appendInts appends src to dst, widened to int.
+func appendInts(dst []int, src []int32) []int {
+	for _, v := range src {
+		dst = append(dst, int(v))
 	}
-	env.NextActive(start + int64(es.el.m) + 1)
+	return dst
 }
 
 // ensureSchedules fills sched[j] with the ascending scheduled rounds of
@@ -261,37 +250,38 @@ func (el *EventLists) ensureSchedules(ids, clusters []int, sched [][]int32) {
 }
 
 // prepare resolves the senders' schedules and buckets them by round:
-// offs[i] ends round i's bucket in events (bucket i starts at offs[i-1]).
+// el.offs[i] ends round i's bucket in txs (bucket i starts at offs[i-1]).
 // Two passes over the lists keep within-round sender order identical to the
 // naive loop's (caller order), which reception arithmetic downstream
 // depends on.
 func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
-	if es.counts == nil {
-		es.counts = make([]int32, es.el.m)
-		es.offs = make([]int32, es.el.m)
+	el := es.el
+	if el.counts == nil {
+		el.counts = make([]int32, el.m)
+		el.offs = make([]int32, el.m)
 	}
 	for cap(es.sched) < len(senders) {
 		es.sched = append(es.sched[:cap(es.sched)], nil)
 	}
 	sched := es.sched[:len(senders)]
-	es.el.ensureSchedules(ids, clusters, sched)
+	el.ensureSchedules(ids, clusters, sched)
 	total := 0
 	for j := range senders {
 		total += len(sched[j])
 		for _, i := range sched[j] {
-			es.counts[i]++
+			el.counts[i]++
 		}
 	}
-	if cap(es.events) < total {
-		es.events = make([]int32, total)
+	if cap(es.txs) < total {
+		es.txs = make([]int32, total)
 	}
-	es.events = es.events[:total]
+	es.txs = es.txs[:total]
 	es.active = es.active[:0]
 	es.ends = es.ends[:0]
 	off := int32(0)
-	for i, c := range es.counts {
-		es.counts[i] = 0 // leave the counting scratch clean for the next prepare
-		es.offs[i] = off
+	for i, c := range el.counts {
+		el.counts[i] = 0 // leave the counting scratch clean for the next prepare
+		el.offs[i] = off
 		if c != 0 {
 			off += c
 			es.active = append(es.active, int32(i))
@@ -300,8 +290,8 @@ func (es *EventScheduler) prepare(senders []int, ids, clusters []int) {
 	}
 	for j := range senders {
 		for _, i := range sched[j] {
-			es.events[es.offs[i]] = int32(j)
-			es.offs[i]++
+			es.txs[el.offs[i]] = int32(senders[j])
+			el.offs[i]++
 		}
 	}
 	es.lastSenders = append(es.lastSenders[:0], senders...)

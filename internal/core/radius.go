@@ -133,6 +133,10 @@ type rrScratch struct {
 
 var rrPool = sync.Pool{New: func() any { return new(rrScratch) }}
 
+// reduceStateKey keys reduceIteration's execution-scoped sparsify.State in
+// the environment's cache.
+type reduceStateKey struct{}
+
 // reduceIteration performs one pass of the Alg. 5 main loop over the
 // remaining set x, writing assignments into out. The nodes assigned this
 // iteration are reported in sc.assigned.
@@ -149,7 +153,16 @@ func reduceIteration(
 	sc *rrScratch,
 ) error {
 	sc.assigned.Reset(env.F.N())
-	st := sparsify.NewState(env.F.N())
+	// The sparsification forest lives only for this iteration, so one State
+	// per execution serves every iteration of every reduction.
+	var st *sparsify.State
+	if v, ok := env.CacheGet(reduceStateKey{}); ok {
+		st = v.(*sparsify.State)
+		st.Reset()
+	} else {
+		st = sparsify.NewState(env.F.N())
+		env.CachePut(reduceStateKey{}, st)
+	}
 	if gamma > len(x) {
 		gamma = len(x)
 	}

@@ -67,6 +67,10 @@ type Control struct {
 	// memoization and replay layers bypass their caches (see
 	// Env.ReceptionPure).
 	ImpureReception bool
+	// Sessions, when non-nil, lends extra sessions of the execution's
+	// engine, so PassReceptions can compute a pass's rounds on several
+	// cores. The environment keeps what it borrows until ReleaseSessions.
+	Sessions SessionPool
 }
 
 // stopExecution is the panic payload that unwinds an aborted execution out
@@ -108,6 +112,11 @@ type Env struct {
 	delBuf  []Delivery
 	passBuf []Delivery
 	memo    envMemo
+	batch   passBatch
+
+	// stopHook is the cooperative mid-round cancellation check installed on
+	// the engine and on every borrowed session (nil without a context).
+	stopHook func() error
 
 	// derived caches execution-scoped derived structures (selector families,
 	// schedule-list caches, SNS instances) keyed by the parameters that
@@ -233,17 +242,17 @@ func (e *Env) SetControl(c Control) {
 	e.ra, _ = e.F.(sinr.RoundAware)
 	// Install (or clear — sessions are pooled across runs) the engines'
 	// cooperative mid-round cancellation hook.
-	if sc, ok := e.F.(sinr.StopChecker); ok {
-		if ctx := c.Ctx; ctx != nil {
-			sc.SetStopCheck(func() error {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("%w: %w", ErrCanceled, err)
-				}
-				return nil
-			})
-		} else {
-			sc.SetStopCheck(nil)
+	e.stopHook = nil
+	if ctx := c.Ctx; ctx != nil {
+		e.stopHook = func() error {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("%w: %w", ErrCanceled, err)
+			}
+			return nil
 		}
+	}
+	if sc, ok := e.F.(sinr.StopChecker); ok {
+		sc.SetStopCheck(e.stopHook)
 	}
 }
 
@@ -453,7 +462,9 @@ func (e *Env) NextActive(r int64) {
 	}
 }
 
-// TxBuf returns a reusable scratch slice for building transmitter sets.
+// TxBuf returns a reusable scratch slice for building transmitter sets;
+// the schedule executor lays out each pass's transmitters in it. Like
+// PassBuf, its content is valid until the next pass on this environment.
 func (e *Env) TxBuf() []int { return e.txBuf[:0] }
 
 // SetTxBuf stores the scratch slice back (callers may grow it).

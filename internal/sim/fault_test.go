@@ -257,33 +257,32 @@ func (c *countEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr
 }
 
 func TestImpureReceptionBypassesMemo(t *testing.T) {
-	newCounted := func() (*Env, *countEngine) {
-		f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(4, 0.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce := &countEngine{Engine: f}
-		return MustEnv(ce, nil, 0), ce
+	f, err := sinr.NewField(sinr.DefaultParams(), geom.LinePath(4, 0.5))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	pure, pe := newCounted()
+	ce := &countEngine{Engine: f}
+	pure := MustEnv(ce, nil, 0)
 	if !pure.ReceptionPure() {
 		t.Error("zero Control must be pure")
 	}
-	pure.StepMemo([]int{0}, helloOf, nil, 0)
-	pure.StepMemo([]int{0}, helloOf, nil, 0)
-	if pe.calls != 1 {
-		t.Errorf("pure repeat round hit the engine %d times, want 1 (memo)", pe.calls)
+	pure.PassReceptions([]int{0, 0}, []int32{1, 2}, nil, 0, nil, nil)
+	pure.PassReceptions([]int{0}, []int32{1}, nil, 0, nil, nil)
+	if ce.calls != 1 {
+		t.Errorf("pure repeat round hit the engine %d times, want 1 (memo)", ce.calls)
 	}
 
-	impure, ie := newCounted()
+	impure := controlEnv(t)
 	impure.SetControl(Control{ImpureReception: true})
 	if impure.ReceptionPure() {
 		t.Error("ImpureReception must flip ReceptionPure")
 	}
-	impure.StepMemo([]int{0}, helloOf, nil, 0)
-	impure.StepMemo([]int{0}, helloOf, nil, 0)
-	if ie.calls != 2 {
-		t.Errorf("impure repeat round hit the engine %d times, want 2 (memo bypassed)", ie.calls)
-	}
+	// The memo's only entry point refuses impure executions, whose rounds
+	// the schedule layer steps live.
+	defer func() {
+		if recover() == nil {
+			t.Error("PassReceptions in an impure execution must panic")
+		}
+	}()
+	impure.PassReceptions([]int{0}, []int32{1}, nil, 0, nil, nil)
 }

@@ -13,8 +13,9 @@ import (
 // therefore memoizes round outcomes keyed by (interned listener set,
 // transmitter sequence): schedule executors intern their listener slice
 // once per pass (content-addressed — reused or rebuilt slices are fine) and
-// execute rounds through StepMemo, which replays a previously captured
-// reception sequence when the identical round has run before.
+// compute a pass's receptions through PassReceptions, which takes a
+// previously captured reception sequence when the identical round has run
+// before.
 
 // memoTxCap bounds the transmitter-set size eligible for the round memo;
 // larger rounds are rare and dominated by genuinely new physics.
@@ -174,60 +175,63 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 	return id
 }
 
-// StepMemo is Step with reception memoization: listeners must be the slice
-// whose content was interned as lid (callers intern once per pass). If the
-// identical (lid, txs) round has executed before, the captured receptions
-// are replayed via StepReplay; otherwise the round runs live and its
-// outcome is captured. Results, statistics and observer behaviour are
-// byte-identical to Step either way.
-func (e *Env) StepMemo(txs []int, msgOf func(node int) Msg, listeners []int, lid uint32) []Delivery {
-	if len(txs) == 0 || len(txs) > memoTxCap || e.ctl.ImpureReception {
-		// Fault injection makes reception round-dependent: every round is
-		// genuinely new physics, so the memo never captures or replays.
-		return e.Step(txs, msgOf, listeners)
+// memoLookup returns the captured receptions of the (lid, txs) round, and
+// the round's probe key, which memoCapture takes back so a round is hashed
+// once. Rounds the memo does not hold (silent, or more than memoTxCap
+// transmitters) always miss.
+func (e *Env) memoLookup(txs []int, lid uint32) (recs []sinr.Reception, key uint64, ok bool) {
+	key = intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
+	if len(txs) == 0 || len(txs) > memoTxCap {
+		return nil, key, false
 	}
 	if len(txs) == 1 {
 		if tab := e.soloTable(lid); tab != nil {
-			v := txs[0]
-			if recs := tab[v]; recs != nil {
-				return e.StepReplay(txs, recs, msgOf)
-			}
-			ds := e.Step(txs, msgOf, listeners)
-			recs := make([]sinr.Reception, 0, len(ds))
-			for _, d := range ds {
-				recs = append(recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-			}
-			tab[v] = recs
-			e.memo.entries += 1 + len(recs)
-			return ds
+			recs = tab[txs[0]]
+			return recs, key, recs != nil
 		}
 	}
 	if e.memo.hashes == nil {
 		e.memo.growRounds()
 	}
-	key := intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
+	if s := e.memo.slots[e.memo.roundSlot(key, lid, txs)]; s != 0 {
+		return e.memo.rounds[s-1].recs, key, true
+	}
+	return nil, key, false
+}
+
+// memoCapture stores the receptions of a round memoLookup missed (key is
+// the key it returned), copying recs. A round already captured since the
+// lookup — the same transmitter set twice in one pass — is left as it is.
+// Captures stop once the memo budget is spent.
+func (e *Env) memoCapture(txs []int, lid uint32, key uint64, recs []sinr.Reception) {
+	if len(txs) == 0 || len(txs) > memoTxCap {
+		return
+	}
+	if len(txs) == 1 {
+		if tab := e.soloTable(lid); tab != nil {
+			if v := txs[0]; tab[v] == nil {
+				tab[v] = append(make([]sinr.Reception, 0, len(recs)), recs...)
+				e.memo.entries += 1 + len(recs)
+			}
+			return
+		}
+	}
 	slot := e.memo.roundSlot(key, lid, txs)
-	if s := e.memo.slots[slot]; s != 0 {
-		return e.StepReplay(txs, e.memo.rounds[s-1].recs, msgOf)
+	if e.memo.slots[slot] != 0 || e.memo.entries+len(txs)+len(recs) > memoBudget {
+		return
 	}
-	ds := e.Step(txs, msgOf, listeners)
-	if e.memo.entries+len(txs)+len(ds) <= memoBudget {
-		en := roundMemoEntry{key: key, lid: lid, txs: e.memo.allocTxs(len(txs)), recs: e.memo.allocRecs(len(ds))}
-		for k, v := range txs {
-			en.txs[k] = int32(v)
-		}
-		for _, d := range ds {
-			en.recs = append(en.recs, sinr.Reception{Receiver: d.Receiver, Sender: d.Sender})
-		}
-		e.memo.rounds = append(e.memo.rounds, en)
-		e.memo.hashes[slot] = key
-		e.memo.slots[slot] = int32(len(e.memo.rounds))
-		e.memo.entries += len(txs) + len(ds)
-		if 2*len(e.memo.rounds) >= len(e.memo.hashes) {
-			e.memo.growRounds()
-		}
+	en := roundMemoEntry{key: key, lid: lid, txs: e.memo.allocTxs(len(txs)), recs: e.memo.allocRecs(len(recs))}
+	for k, v := range txs {
+		en.txs[k] = int32(v)
 	}
-	return ds
+	en.recs = append(en.recs, recs...)
+	e.memo.rounds = append(e.memo.rounds, en)
+	e.memo.hashes[slot] = key
+	e.memo.slots[slot] = int32(len(e.memo.rounds))
+	e.memo.entries += len(txs) + len(recs)
+	if 2*len(e.memo.rounds) >= len(e.memo.hashes) {
+		e.memo.growRounds()
+	}
 }
 
 // soloTable returns the per-sender solo-round table of one listener set,

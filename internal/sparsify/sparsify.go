@@ -47,6 +47,10 @@ type State struct {
 	// events caches per-selector schedule lists across the execution's
 	// proximity constructions (see comm.EventLists).
 	events map[selectors.PairSelector]*comm.EventLists
+
+	// touched lists the nodes whose Parent, SubtreeSize or Children differ
+	// from a fresh State, so Reset costs O(touched).
+	touched []int
 }
 
 // eventLists returns the execution-scoped schedule cache for sel, creating
@@ -78,6 +82,20 @@ func NewState(n int) *State {
 		st.SubtreeSize[i] = 1
 	}
 	return st
+}
+
+// Reset returns st to the state NewState leaves it in, keeping its
+// allocations (and its schedule caches, which depend only on the selector).
+// Slices read from st before the reset must not be used after it.
+func (st *State) Reset() {
+	for _, v := range st.touched {
+		st.Parent[v] = -1
+		st.SubtreeSize[v] = 1
+		st.Children[v] = st.Children[v][:0]
+	}
+	st.touched = st.touched[:0]
+	clear(st.Batches)
+	st.Batches = st.Batches[:0]
 }
 
 // Call configures one Sparsification execution (Alg. 2).
@@ -283,6 +301,9 @@ func iterate(
 		if alreadyChild(st, p, child) {
 			continue
 		}
+		if len(st.Children[p]) == 0 {
+			st.touched = append(st.touched, p)
+		}
 		st.Children[p] = append(st.Children[p], ChildRef{Node: child, Size: int(d.Msg.B)})
 		st.SubtreeSize[p] += int(d.Msg.B)
 		if !sc.newPar.Has(p) {
@@ -300,6 +321,7 @@ func iterate(
 		p, isChild := sc.parent.Get(v)
 		switch {
 		case isChild && alreadyChild(st, int(p), v):
+			st.touched = append(st.touched, v)
 			st.Parent[v] = int(p)
 			batchChildren = append(batchChildren, v)
 		case sc.newPar.Has(v):

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -364,4 +365,50 @@ func TestDensityPerClusterNeverBelowOne(t *testing.T) {
 		}
 	}
 	_ = analysis.MaxClusterSize // keep analysis linked for symmetry with other tests
+}
+
+// TestStateResetMatchesFresh pins Reset: a used, reset State equals a new
+// one, and a Full run on it gives the same forest and rounds as on a new
+// State.
+func TestStateResetMatchesFresh(t *testing.T) {
+	pts, cl := clumps(3, 8, 0.3)
+	cfg := config.Default()
+	full := func(st *State) (*FullLevels, int64) {
+		env := newEnv(t, pts)
+		levels, err := Full(env, st, allNodes(len(pts)), clusteredCall(t, cfg, env, cl, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return levels, env.Rounds()
+	}
+	fresh := NewState(len(pts))
+	wantLevels, wantRounds := full(fresh)
+	if len(fresh.Batches) == 0 || len(fresh.touched) == 0 {
+		t.Fatal("run built no forest: the reset would be untested")
+	}
+
+	st := NewState(len(pts))
+	full(st)
+	st.Reset()
+	ref := NewState(len(pts))
+	if !slices.Equal(st.Parent, ref.Parent) || !slices.Equal(st.SubtreeSize, ref.SubtreeSize) || len(st.Batches) != 0 {
+		t.Fatal("Reset left forest state behind")
+	}
+	for v, cs := range st.Children {
+		if len(cs) != 0 {
+			t.Fatalf("Reset left %d children under node %d", len(cs), v)
+		}
+	}
+	gotLevels, gotRounds := full(st)
+	if gotRounds != wantRounds || !slices.EqualFunc(gotLevels.Levels, wantLevels.Levels, slices.Equal) {
+		t.Errorf("run on a reset State differs: rounds %d vs %d", gotRounds, wantRounds)
+	}
+	if !slices.Equal(st.Parent, fresh.Parent) || !slices.Equal(st.SubtreeSize, fresh.SubtreeSize) {
+		t.Error("forest on a reset State differs from a fresh one")
+	}
+	for v := range st.Children {
+		if !slices.Equal(st.Children[v], fresh.Children[v]) {
+			t.Errorf("children of %d differ after reset", v)
+		}
+	}
 }

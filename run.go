@@ -369,6 +369,10 @@ func ElectLeader() Task {
 // across runs) and a fresh execution environment. Algorithms are
 // deterministic, so concurrent runs of the same task produce identical
 // results.
+//
+// A run without faults may compute the receptions of a schedule pass on up
+// to GOMAXPROCS sessions from the same pool before playing its rounds in
+// order; results do not depend on GOMAXPROCS.
 func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Result, error) {
 	if task == nil {
 		return nil, fmt.Errorf("dcluster: nil task")
@@ -414,7 +418,11 @@ func (n *Network) Run(ctx context.Context, task Task, opts ...RunOption) (*Resul
 		NodeFaults:         nodeFaults,
 		StallWindow:        rc.stallWindow,
 		ImpureReception:    impure,
+		// Only pure executions compute receptions ahead on extra sessions,
+		// so the lent sessions never need the fault decorator.
+		Sessions: (*sessionLender)(n),
 	})
+	defer env.ReleaseSessions()
 
 	res := &Result{Algorithm: task.Name()}
 	err, aborted := runGuarded(func() error { return task.run(n, env, res) })
