@@ -202,7 +202,8 @@ func (n *Network) validateIDs() error {
 func WithEngine(kind EngineKind) Option { return func(n *Network) { n.engine = kind } }
 
 // ErrBadNetwork is returned by NewNetwork when the node positions cannot
-// define a network: an empty point set, or a coordinate that is NaN or ±Inf.
+// define a network: an empty point set, a coordinate that is NaN or ±Inf,
+// or, on the sparse engine, coordinates more than the float64 range apart.
 var ErrBadNetwork = errors.New("dcluster: invalid network")
 
 // NewNetwork builds a network over the given node positions.
@@ -251,7 +252,7 @@ func NewNetwork(pts []Point, opts ...Option) (*Network, error) {
 	case EngineSparse:
 		f, err := sinr.NewSparseField(n.params, n.pts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadNetwork, err)
 		}
 		n.field = f
 	default:

@@ -1,8 +1,10 @@
 package dcluster
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -42,6 +44,40 @@ func TestNewNetworkRejectsNonFinite(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFarOutlierEngineEquivalence: a 20-node disk with one point moved far
+// away. The sparse engine once sized its grid with an int product that
+// wrapped negative at 1e12, accepted a 5e11×5e11 grid and panicked
+// allocating it. Both engines must now run the same clustering.
+func TestFarOutlierEngineEquivalence(t *testing.T) {
+	for _, far := range []float64{1e6, 1e12, 1e300} {
+		pts := UniformDisk(20, 2, 1)
+		pts[7] = Point{X: far, Y: far}
+		var res [2]*Result
+		for i, engine := range []EngineKind{EngineDense, EngineSparse} {
+			net, err := NewNetwork(pts, WithEngine(engine))
+			if err != nil {
+				t.Fatalf("%g, %s engine: %v", far, engine, err)
+			}
+			if res[i], err = net.Run(context.Background(), Clustering()); err != nil {
+				t.Fatalf("%g, %s engine: %v", far, engine, err)
+			}
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("outlier at %g: dense %+v, sparse %+v", far, res[0].Stats, res[1].Stats)
+		}
+	}
+	// Points whose span overflows float64 leave the sparse grid no finite
+	// cell size: its engine refuses them instead of hanging.
+	pts := UniformDisk(20, 2, 1)
+	pts[3], pts[7] = Point{X: -1.7e308, Y: 0}, Point{X: 1.7e308, Y: 0}
+	if net, err := NewNetwork(pts, WithEngine(EngineSparse)); !errors.Is(err, ErrBadNetwork) || net != nil {
+		t.Errorf("span beyond float64 on the sparse engine: NewNetwork = (%v, %v), want ErrBadNetwork", net, err)
+	}
+	if _, err := NewNetwork(pts, WithEngine(EngineDense)); err != nil {
+		t.Errorf("span beyond float64 on the dense engine: %v", err)
 	}
 }
 

@@ -70,11 +70,11 @@ func (el *EventLists) Selector() selectors.PairSelector { return el.sel }
 //  3. Reception replay. Reception is a pure function of the transmitter and
 //     listener sets, and a selector pass is fixed before it starts, so a
 //     pass's receptions are computed before its first round is played —
-//     by Env.PassReceptions: small-transmitter-set rounds (the dominant
-//     round shape under selective schedules) hit a content-keyed reception
-//     memo that survives across passes with the same listeners, and the
-//     misses run on several engine sessions at once when there are enough
-//     of them. The rounds are then played back in order via Env.StepReplay,
+//     by Env.PassReceptions: rounds of any size hit a content-keyed
+//     reception memo that survives across passes with the same listeners
+//     (schedule replays that alternate sender sets miss the capture below
+//     but not the memo), and the misses run on several engine sessions at
+//     once when there are enough of them. The rounds are then played back in order via Env.StepReplay,
 //     and the captured sequence is replayed outright whenever the same
 //     prepared pass runs again against the same listener set.
 //

@@ -1,6 +1,8 @@
 package proximity
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dcluster/internal/analysis"
@@ -222,6 +224,64 @@ func TestIsolatedNodesNoEdges(t *testing.T) {
 	for u := 0; u < g.Adj.N(); u++ {
 		if ns := g.Adj.Neighbors(u); len(ns) != 0 {
 			t.Errorf("isolated node %d has edges %v", u, ns)
+		}
+	}
+}
+
+// countingEngine counts the Deliver calls that reach the engine, per
+// distinct (transmitters, listeners) round.
+type countingEngine struct {
+	sinr.Engine
+	calls map[string]int
+}
+
+func (c *countingEngine) Deliver(txs, listeners []int, dst []sinr.Reception) []sinr.Reception {
+	c.calls[fmt.Sprint(txs, listeners)]++
+	return c.Engine.Deliver(txs, listeners, dst)
+}
+
+// stripeSelector schedules every ID ≡ r (mod 4) in round r: rounds of about
+// a quarter of the senders each, and rounds r and r+4 alike.
+type stripeSelector struct{}
+
+func (stripeSelector) Len() int                           { return 8 }
+func (stripeSelector) ContainsPair(round, id, _ int) bool { return id%4 == round%4 }
+
+// TestScheduleReplayMemoizesLargeRounds: replays alternating between two
+// sender sets defeat the event scheduler's last-pass capture, so every
+// repeat must come from the reception memo — rounds of more than 48
+// transmitters included. Each distinct round reaches Deliver once.
+func TestScheduleReplayMemoizesLargeRounds(t *testing.T) {
+	f, err := sinr.NewField(sinr.DefaultParams(), geom.UniformDisk(240, 5, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &countingEngine{Engine: f, calls: map[string]int{}}
+	env := sim.MustEnv(eng, nil, 0)
+	active := allNodes(f.N())
+	g, err := Construct(env, config.Default(), stripeSelector{}, nil, active, constOne, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(eng.calls)
+	sets := [2][]int{active[10:], active[:len(active)-10]}
+	msg := func(v int) sim.Msg { return sim.Msg{Kind: sim.KindHello, From: int32(env.IDs[v])} }
+	var first [2][]sim.Delivery
+	for pass := 0; pass < 6; pass++ {
+		ds := g.Sched.Run(env, sets[pass%2], msg, nil)
+		if pass < 2 {
+			first[pass] = append([]sim.Delivery(nil), ds...)
+		} else if !reflect.DeepEqual(ds, first[pass%2]) {
+			t.Fatalf("pass %d: deliveries differ from the first pass over the same senders", pass)
+		}
+	}
+	// Each sender set fills four distinct rounds with about 57 transmitters.
+	if want := 2 * 4; len(eng.calls) != want {
+		t.Errorf("%d distinct rounds reached Deliver, want %d", len(eng.calls), want)
+	}
+	for round, n := range eng.calls {
+		if n != 1 {
+			t.Errorf("round %.40s… reached Deliver %d times, want once", round, n)
 		}
 	}
 }

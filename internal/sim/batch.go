@@ -41,7 +41,8 @@ type SessionPool interface {
 
 // passBatch is the execution-scoped scratch of PassReceptions.
 type passBatch struct {
-	views  [][]sinr.Reception // receptions per round of the pass
+	views  [][]sinr.Reception // computed receptions per round of the pass
+	hits   [][]int32          // memoized receptions per round, as pairs
 	miss   []int32            // first rounds of distinct memo misses, ascending
 	keys   []uint64           // memo probe key per miss
 	dups   [][2]int32         // (round, miss) for repeats of a miss in the pass
@@ -126,10 +127,11 @@ func (c *recChunk) compute() {
 // execution and appends them to recs in round order, with recEnds[k]
 // ending round k's receptions. Round k's transmitters are txs[ends[k-1]:
 // ends[k]] (from 0 for k = 0), each round non-empty; listeners restricts
-// reception as in Step, and lid is its InternListeners id. Every round is looked up in the reception memo once; the
-// misses are computed — a transmitter set repeated within the pass once —
-// across up to GOMAXPROCS sessions when Control.Sessions is set and the
-// misses weigh at least fanOutMinWeight, and captured into the memo in
+// reception as in Step, and lid is its InternListeners id. Every round is
+// looked up in the reception memo once, and hits are unpacked into recs.
+// The misses are computed — a transmitter set repeated within the pass
+// once — across up to GOMAXPROCS sessions when Control.Sessions is set and
+// the misses weigh at least fanOutMinWeight, and captured into the memo in
 // round order. The clock does not move: the caller plays the rounds back
 // through StepReplay.
 //
@@ -141,7 +143,7 @@ func (e *Env) PassReceptions(txs []int, ends []int32, listeners []int, lid uint3
 		panic("sim: PassReceptions in an execution with impure reception")
 	}
 	b := &e.batch
-	b.views, b.miss, b.keys, b.dups = b.views[:0], b.miss[:0], b.keys[:0], b.dups[:0]
+	b.views, b.hits, b.miss, b.keys, b.dups = b.views[:0], b.hits[:0], b.miss[:0], b.keys[:0], b.dups[:0]
 	size := 16
 	for size < 2*len(ends) {
 		size *= 2
@@ -157,7 +159,8 @@ func (e *Env) PassReceptions(txs []int, ends []int32, listeners []int, lid uint3
 	for k, hi := range ends {
 		t := txs[lo:hi]
 		r, key, ok := e.memoLookup(t, lid)
-		b.views = append(b.views, r)
+		b.views = append(b.views, nil)
+		b.hits = append(b.hits, r)
 		lo = hi
 		if ok {
 			continue
@@ -199,13 +202,13 @@ func (e *Env) PassReceptions(txs []int, ends []int32, listeners []int, lid uint3
 		e.memoCapture(roundTxs(txs, ends, k), lid, b.keys[j], b.views[k])
 	}
 	total := 0
-	for _, r := range b.views {
-		total += len(r)
+	for k, r := range b.views {
+		total += len(r) + len(b.hits[k])/2
 	}
 	recs = slices.Grow(recs, total)
 	recEnds = slices.Grow(recEnds, len(ends))
-	for _, r := range b.views {
-		recs = append(recs, r...)
+	for k, r := range b.views {
+		recs = appendPacked(append(recs, r...), b.hits[k])
 		recEnds = append(recEnds, int32(len(recs)))
 	}
 	return recs, recEnds

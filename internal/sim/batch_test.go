@@ -72,7 +72,7 @@ func batchField(t *testing.T) *sinr.Field {
 }
 
 // passRounds lays out a pass of random rounds as PassReceptions takes it:
-// solos, small sets, sets above memoTxCap, and repeats of earlier rounds.
+// solos, sets of up to 71 transmitters, and repeats of earlier rounds.
 func passRounds(n int) (txs []int, ends []int32) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	var rounds [][]int
@@ -130,8 +130,8 @@ func TestPassReceptionsMatchesDeliver(t *testing.T) {
 			}
 			for k := range ends {
 				rt := roundTxs(txs, ends, int32(k))
-				if _, _, ok := e.memoLookup(rt, lid); ok != (len(rt) <= memoTxCap) {
-					t.Errorf("round %d (%d txs): memo hit = %v after the pass", k, len(rt), ok)
+				if _, _, ok := e.memoLookup(rt, lid); !ok {
+					t.Errorf("round %d (%d txs): not memoized after the pass", k, len(rt))
 				}
 			}
 			e.ReleaseSessions()
@@ -187,8 +187,8 @@ func TestPassReceptionsCanceled(t *testing.T) {
 }
 
 // TestPassBatchZeroAllocs: once its buffers are warm, a fanned-out pass —
-// every round above memoTxCap, so every round is computed again — allocates
-// nothing, goroutine hand-off included.
+// with the memo budget spent, so every round misses and is computed again —
+// allocates nothing, goroutine hand-off included.
 func TestPassBatchZeroAllocs(t *testing.T) {
 	withProcs(t, 2)
 	f := batchField(t)
@@ -196,12 +196,13 @@ func TestPassBatchZeroAllocs(t *testing.T) {
 	var txs []int
 	var ends []int32
 	for k := 0; k < 8; k++ {
-		txs = append(txs, rng.Perm(f.N())[:memoTxCap+2]...)
+		txs = append(txs, rng.Perm(f.N())[:50]...)
 		ends = append(ends, int32(len(txs)))
 	}
 	pool := &lendPool{f: f}
 	e := MustEnv(f.Session(), nil, 0)
 	e.SetControl(Control{Sessions: pool})
+	e.memo.entries = memoBudget
 	var recs []sinr.Reception
 	var recEnds []int32
 	pass := func() { recs, recEnds = e.PassReceptions(txs, ends, nil, 0, recs[:0], recEnds[:0]) }
@@ -209,6 +210,9 @@ func TestPassBatchZeroAllocs(t *testing.T) {
 	pass()
 	if pool.gets != 1 {
 		t.Fatalf("borrowed %d sessions: the pass did not fan out", pool.gets)
+	}
+	if _, _, ok := e.memoLookup(roundTxs(txs, ends, 0), 0); ok {
+		t.Fatal("a round was memoized over the spent budget")
 	}
 	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
 		t.Errorf("warmed fanned-out pass allocates %.1f objects, want 0", avg)
@@ -218,19 +222,23 @@ func TestPassBatchZeroAllocs(t *testing.T) {
 func TestMemoLookupCapture(t *testing.T) {
 	e := controlEnv(t)
 	recs := []sinr.Reception{{Receiver: 1, Sender: 0}}
-	for _, txs := range [][]int{{0}, {0, 2}} {
+	large := make([]int, 60)
+	for i := range large {
+		large[i] = 2 * i
+	}
+	for _, txs := range [][]int{{0}, {0, 2}, large} {
 		if _, _, ok := e.memoLookup(txs, 0); ok {
 			t.Fatalf("%v: hit on an empty memo", txs)
 		}
 		_, key, _ := e.memoLookup(txs, 0)
 		e.memoCapture(txs, 0, key, recs)
 		got, _, ok := e.memoLookup(txs, 0)
-		if !ok || !slices.Equal(got, recs) {
+		if !ok || !slices.Equal(got, packed(recs)) {
 			t.Fatalf("%v: lookup after capture = %v, %v", txs, got, ok)
 		}
 		// A repeat capture keeps the first one.
 		e.memoCapture(txs, 0, key, nil)
-		if got, _, _ := e.memoLookup(txs, 0); !slices.Equal(got, recs) {
+		if got, _, _ := e.memoLookup(txs, 0); !slices.Equal(got, packed(recs)) {
 			t.Errorf("%v: repeat capture replaced the entry", txs)
 		}
 		if _, _, ok := e.memoLookup(txs, 1); ok {
@@ -243,10 +251,70 @@ func TestMemoLookupCapture(t *testing.T) {
 	if got, _, ok := e.memoLookup([]int{3}, 0); !ok || len(got) != 0 {
 		t.Errorf("captured empty solo round: lookup = %v, %v", got, ok)
 	}
-	big := make([]int, memoTxCap+1)
-	_, key, _ = e.memoLookup(big, 0)
-	e.memoCapture(big, 0, key, recs)
-	if _, _, ok := e.memoLookup(big, 0); ok {
-		t.Error("a round above memoTxCap was memoized")
+	// A capture that would overrun the budget is refused; one that exactly
+	// fills it is kept.
+	over := []int{5, 7}
+	_, key, _ = e.memoLookup(over, 0)
+	e.memo.entries = memoBudget - len(over) - len(recs) + 1
+	e.memoCapture(over, 0, key, recs)
+	if _, _, ok := e.memoLookup(over, 0); ok {
+		t.Error("an over-budget capture was memoized")
+	}
+	e.memo.entries--
+	e.memoCapture(over, 0, key, recs)
+	if got, _, ok := e.memoLookup(over, 0); !ok || !slices.Equal(got, packed(recs)) {
+		t.Errorf("a capture filling the budget exactly: lookup = %v, %v", got, ok)
+	}
+	if e.memo.entries != memoBudget {
+		t.Errorf("entries = %d after filling the budget, want %d", e.memo.entries, memoBudget)
+	}
+}
+
+// packed lays receptions out as the memo stores them.
+func packed(recs []sinr.Reception) []int32 {
+	out := []int32{}
+	for _, r := range recs {
+		out = append(out, int32(r.Receiver), int32(r.Sender))
+	}
+	return out
+}
+
+// TestMemoSoloBudget: one-transmitter rounds under many interned listener
+// sets charge the budget one unit per transmitter and per reception they
+// store, and nothing per listener set.
+func TestMemoSoloBudget(t *testing.T) {
+	f := batchField(t)
+	n := f.N()
+	e := MustEnv(f.Session(), nil, 0)
+	want := 0
+	for i := 0; i < 1000; i++ {
+		// Listener set i leaves out a window of i/n+1 nodes starting at
+		// i%n, so the 1000 sets are distinct.
+		skip, width := i%n, i/n+1
+		var listeners []int
+		for v := 0; v < n; v++ {
+			if (v-skip+n)%n >= width {
+				listeners = append(listeners, v)
+			}
+		}
+		lid := e.InternListeners(listeners)
+		txs := []int{skip, (skip + 50) % n}
+		ends := []int32{1, 2}
+		recs, recEnds := e.PassReceptions(txs, ends, listeners, lid, nil, nil)
+		want += len(txs) + len(recs)
+		for k := range ends {
+			rt := roundTxs(txs, ends, int32(k))
+			got, _, ok := e.memoLookup(rt, lid)
+			lo := int32(0)
+			if k > 0 {
+				lo = recEnds[k-1]
+			}
+			if !ok || !slices.Equal(got, packed(recs[lo:recEnds[k]])) {
+				t.Fatalf("listener set %d, round %d: lookup = %v, %v", i, k, got, ok)
+			}
+		}
+	}
+	if e.memo.entries != want {
+		t.Errorf("memo charged %d units for solo rounds storing %d", e.memo.entries, want)
 	}
 }

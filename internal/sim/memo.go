@@ -8,21 +8,18 @@ import (
 
 // Run-scoped reception memo. Reception is a pure function of the
 // transmitter sequence and the listener restriction on a fixed engine, and
-// deterministic schedules revisit the same small transmitter sets hundreds
-// of times across passes, constructions and phases. The environment
-// therefore memoizes round outcomes keyed by (interned listener set,
-// transmitter sequence): schedule executors intern their listener slice
-// once per pass (content-addressed — reused or rebuilt slices are fine) and
-// compute a pass's receptions through PassReceptions, which takes a
-// previously captured reception sequence when the identical round has run
-// before.
+// deterministic schedules revisit the same transmitter sets many times
+// across passes, constructions and phases: a Close Neighbors Schedule is
+// replayed by colour reduction and sparsification long after the exchange
+// that built it. The environment therefore memoizes every round outcome,
+// of any size, keyed by (interned listener set, transmitter sequence):
+// schedule executors intern their listener slice once per pass
+// (content-addressed — reused or rebuilt slices are fine) and compute a
+// pass's receptions through PassReceptions, which takes a previously
+// captured reception sequence when the identical round has run before.
 
-// memoTxCap bounds the transmitter-set size eligible for the round memo;
-// larger rounds are rare and dominated by genuinely new physics.
-const memoTxCap = 48
-
-// memoBudget caps the total memoized ints (transmitters + receptions) per
-// execution.
+// memoBudget caps the memo per execution, counting one unit per memoized
+// transmitter and one per memoized reception.
 const memoBudget = 1 << 21
 
 // listenerSetEntry is one interned listener set.
@@ -31,13 +28,14 @@ type listenerSetEntry struct {
 	content []int
 }
 
-// roundMemoEntry is one memoized round outcome: the exact transmitter
-// sequence under one interned listener set, and its receptions.
+// roundMemoEntry is one memoized round outcome under one interned listener
+// set: data holds the round's transmitter sequence (its first ntx values)
+// followed by its receptions as (receiver, sender) pairs.
 type roundMemoEntry struct {
 	key  uint64
 	lid  uint32
-	txs  []int32
-	recs []sinr.Reception
+	ntx  int32
+	data []int32
 }
 
 type envMemo struct {
@@ -53,14 +51,8 @@ type envMemo struct {
 	slots  []int32
 	rounds []roundMemoEntry
 
-	// Arena chunks backing the entries' txs and recs (see allocTxs).
-	txArena  []int32
-	recArena []sinr.Reception
-
-	// solo[lid][v] memoizes the dominant |txs| = 1 rounds with two array
-	// loads instead of a map probe: nil marks "not captured", a non-nil
-	// empty slice a captured empty outcome.
-	solo [][][]sinr.Reception
+	// Arena chunk backing the entries' data (see alloc).
+	arena []int32
 }
 
 // roundSlot returns the probe slot for key: either the slot holding an
@@ -77,9 +69,9 @@ func (m *envMemo) roundSlot(key uint64, lid uint32, txs []int) int {
 		}
 		if m.hashes[i] == key {
 			en := &m.rounds[s-1]
-			if en.lid == lid && len(en.txs) == len(txs) {
+			if en.lid == lid && int(en.ntx) == len(txs) {
 				match := true
-				for k, v := range en.txs {
+				for k, v := range en.data[:en.ntx] {
 					if int(v) != txs[k] {
 						match = false
 						break
@@ -94,29 +86,18 @@ func (m *envMemo) roundSlot(key uint64, lid uint32, txs []int) int {
 	}
 }
 
-// memoChunk sizes the arena chunks backing captured transmitter and
-// reception sequences: one allocation serves many captures, instead of two
-// small zeroed allocations per memoized round.
-const memoChunk = 4096
+// memoChunk sizes the arena chunks backing captured rounds: one allocation
+// serves many captures, instead of a small zeroed allocation per memoized
+// round.
+const memoChunk = 8192
 
-// allocTxs carves a length-n int32 slice out of the transmitter arena.
-func (m *envMemo) allocTxs(n int) []int32 {
-	if len(m.txArena)+n > cap(m.txArena) {
-		m.txArena = make([]int32, 0, max(memoChunk, n))
+// alloc carves a length-n int32 slice out of the arena.
+func (m *envMemo) alloc(n int) []int32 {
+	if len(m.arena)+n > cap(m.arena) {
+		m.arena = make([]int32, 0, max(memoChunk, n))
 	}
-	s := m.txArena[len(m.txArena) : len(m.txArena)+n]
-	m.txArena = m.txArena[:len(m.txArena)+n]
-	return s
-}
-
-// allocRecs carves a zero-length, capacity-n slice out of the reception
-// arena.
-func (m *envMemo) allocRecs(n int) []sinr.Reception {
-	if len(m.recArena)+n > cap(m.recArena) {
-		m.recArena = make([]sinr.Reception, 0, max(memoChunk, n))
-	}
-	s := m.recArena[len(m.recArena) : len(m.recArena) : len(m.recArena)+n]
-	m.recArena = m.recArena[:len(m.recArena)+n]
+	s := m.arena[len(m.arena) : len(m.arena)+n : len(m.arena)+n]
+	m.arena = m.arena[:len(m.arena)+n]
 	return s
 }
 
@@ -175,26 +156,17 @@ func (e *Env) InternListeners(listeners []int) uint32 {
 	return id
 }
 
-// memoLookup returns the captured receptions of the (lid, txs) round, and
-// the round's probe key, which memoCapture takes back so a round is hashed
-// once. Rounds the memo does not hold (silent, or more than memoTxCap
-// transmitters) always miss.
-func (e *Env) memoLookup(txs []int, lid uint32) (recs []sinr.Reception, key uint64, ok bool) {
+// memoLookup returns the captured receptions of the (lid, txs) round as
+// (receiver, sender) pairs, and the round's probe key, which memoCapture
+// takes back so a round is hashed once.
+func (e *Env) memoLookup(txs []int, lid uint32) (recs []int32, key uint64, ok bool) {
 	key = intsHash(uint64(lid)*0xc2b2ae3d27d4eb4f+14695981039346656037, txs)
-	if len(txs) == 0 || len(txs) > memoTxCap {
-		return nil, key, false
-	}
-	if len(txs) == 1 {
-		if tab := e.soloTable(lid); tab != nil {
-			recs = tab[txs[0]]
-			return recs, key, recs != nil
-		}
-	}
 	if e.memo.hashes == nil {
 		e.memo.growRounds()
 	}
 	if s := e.memo.slots[e.memo.roundSlot(key, lid, txs)]; s != 0 {
-		return e.memo.rounds[s-1].recs, key, true
+		en := &e.memo.rounds[s-1]
+		return en.data[en.ntx:], key, true
 	}
 	return nil, key, false
 }
@@ -204,27 +176,18 @@ func (e *Env) memoLookup(txs []int, lid uint32) (recs []sinr.Reception, key uint
 // lookup — the same transmitter set twice in one pass — is left as it is.
 // Captures stop once the memo budget is spent.
 func (e *Env) memoCapture(txs []int, lid uint32, key uint64, recs []sinr.Reception) {
-	if len(txs) == 0 || len(txs) > memoTxCap {
-		return
-	}
-	if len(txs) == 1 {
-		if tab := e.soloTable(lid); tab != nil {
-			if v := txs[0]; tab[v] == nil {
-				tab[v] = append(make([]sinr.Reception, 0, len(recs)), recs...)
-				e.memo.entries += 1 + len(recs)
-			}
-			return
-		}
-	}
 	slot := e.memo.roundSlot(key, lid, txs)
 	if e.memo.slots[slot] != 0 || e.memo.entries+len(txs)+len(recs) > memoBudget {
 		return
 	}
-	en := roundMemoEntry{key: key, lid: lid, txs: e.memo.allocTxs(len(txs)), recs: e.memo.allocRecs(len(recs))}
+	en := roundMemoEntry{key: key, lid: lid, ntx: int32(len(txs)), data: e.memo.alloc(len(txs) + 2*len(recs))}
 	for k, v := range txs {
-		en.txs[k] = int32(v)
+		en.data[k] = int32(v)
 	}
-	en.recs = append(en.recs, recs...)
+	for k, r := range recs {
+		en.data[len(txs)+2*k] = int32(r.Receiver)
+		en.data[len(txs)+2*k+1] = int32(r.Sender)
+	}
 	e.memo.rounds = append(e.memo.rounds, en)
 	e.memo.hashes[slot] = key
 	e.memo.slots[slot] = int32(len(e.memo.rounds))
@@ -234,22 +197,10 @@ func (e *Env) memoCapture(txs []int, lid uint32, key uint64, recs []sinr.Recepti
 	}
 }
 
-// soloTable returns the per-sender solo-round table of one listener set,
-// allocating it on first use while the budget lasts (nil = over budget;
-// callers fall back to the keyed memo).
-func (e *Env) soloTable(lid uint32) [][]sinr.Reception {
-	for len(e.memo.solo) <= int(lid) {
-		e.memo.solo = append(e.memo.solo, nil)
+// appendPacked appends receptions stored as (receiver, sender) pairs.
+func appendPacked(dst []sinr.Reception, pairs []int32) []sinr.Reception {
+	for k := 0; k+1 < len(pairs); k += 2 {
+		dst = append(dst, sinr.Reception{Receiver: int(pairs[k]), Sender: int(pairs[k+1])})
 	}
-	tab := e.memo.solo[lid]
-	if tab == nil {
-		n := e.F.N()
-		if e.memo.entries+n > memoBudget {
-			return nil
-		}
-		tab = make([][]sinr.Reception, n)
-		e.memo.solo[lid] = tab
-		e.memo.entries += n
-	}
-	return tab
+	return dst
 }

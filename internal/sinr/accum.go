@@ -173,13 +173,25 @@ func (f *SparseField) accumRows(y0, y1 int, txs []int, isL []bool, win, outw []w
 	for cy := y0; cy < y1; cy++ {
 		for cx := 0; cx < f.nx; cx++ {
 			c := cy*f.nx + cx
+			// Skip to the cell's first member with something to decide — a
+			// listener that does not transmit — before deriving any window:
+			// most cells of a restricted or transmitter-heavy round hold
+			// none. In a full round the first member usually qualifies.
 			members := f.lidx.nodes[f.lidx.start[c]:f.lidx.start[c+1]]
+			first := 0
+			for first < len(members) {
+				if u := members[first]; !s.isTx[u] && (isL == nil || isL[u]) {
+					break
+				}
+				first++
+			}
+			members = members[first:]
 			if len(members) == 0 {
 				continue
 			}
-			// Cooperative cancellation, once per nonempty listener cell: the
-			// per-cell work dominates the hook call, and stripes bail without
-			// panicking (the caller aborts after Wait).
+			// Cooperative cancellation, once per listener cell with a member
+			// to decide: the per-cell work dominates the hook call, and
+			// stripes bail without panicking (the caller aborts after Wait).
 			if f.stop != nil {
 				if err := f.stop(); err != nil {
 					return win, outw, d2q, err

@@ -252,6 +252,9 @@ func NewSparseField(params Params, pos []geom.Point) (*SparseField, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	if lo, hi := geom.BoundingBox(pos); math.IsInf(hi.X-lo.X, 0) || math.IsInf(hi.Y-lo.Y, 0) {
+		return nil, fmt.Errorf("sinr: the deployment spans more than the float64 range (%v to %v)", lo, hi)
+	}
 	n := len(pos)
 	f := &SparseField{
 		params:    params,

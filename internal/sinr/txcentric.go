@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"math"
 	"slices"
 
 	"dcluster/internal/geom"
@@ -50,15 +51,16 @@ func newCellGeom(rangeR float64, pos []geom.Point) cellGeom {
 	g := cellGeom{min: min, cell: rangeR}
 	w, h := max.X-min.X, max.Y-min.Y
 	n := len(pos)
+	// The counts and their product stay in float64 until they fit: one far
+	// outlier makes w/cell too large for an int, let alone the product.
 	for {
-		g.nx = int(w/g.cell) + 1
-		g.ny = int(h/g.cell) + 1
-		if n == 0 || g.nx*g.ny <= 8*n+64 {
-			break
+		fx, fy := math.Floor(w/g.cell)+1, math.Floor(h/g.cell)+1
+		if n == 0 || fx*fy <= float64(8*n+64) {
+			g.nx, g.ny = int(fx), int(fy)
+			return g
 		}
 		g.cell *= 2
 	}
-	return g
 }
 
 // cellOf returns the grid cell index of p, clamped to the grid.
